@@ -37,9 +37,8 @@ sweep(BenchEnv &env, framework::ExecutionPattern pattern)
                 nfs::MemBenchConfig cfg;
                 cfg.wssBytes = 12.0 * 1024 * 1024;
                 cfg.targetAccessRate = car;
-                auto mb = nfs::makeMemBench(cfg);
-                deploy.push_back(env.trainer->workloadOf(
-                    *mb, traffic::TrafficProfile{16, 1500, 0.0}));
+                deploy.push_back(nfs::memBenchProfile(
+                    cfg, traffic::TrafficProfile{16, 1500, 0.0}));
             }
             if (rate > 0.0) {
                 nfs::RegexBenchConfig cfg;

@@ -37,9 +37,8 @@ main()
             nfs::MemBenchConfig cfg;
             cfg.wssBytes = wss * 1024 * 1024;
             cfg.targetAccessRate = 40e6;
-            auto mb = nfs::makeMemBench(cfg);
-            auto wb = env.trainer->workloadOf(
-                *mb, traffic::TrafficProfile{16, 1500, 0.0});
+            auto wb = nfs::memBenchProfile(
+                cfg, traffic::TrafficProfile{16, 1500, 0.0});
             auto ms = env.bed.run({env.workload("FlowStats", p), wb});
             row.push_back(
                 strf("%.0fK", ms[0].truthThroughput / 1e3));

@@ -33,9 +33,8 @@ main()
             nfs::MemBenchConfig cfg;
             cfg.wssBytes = wss * 1024 * 1024;
             cfg.targetAccessRate = car;
-            auto bench = nfs::makeMemBench(cfg);
-            auto wb = env.trainer->workloadOf(
-                *bench, traffic::TrafficProfile{16, 1500, 0.0});
+            auto wb = nfs::memBenchProfile(
+                cfg, traffic::TrafficProfile{16, 1500, 0.0});
             auto ms = env.bed.run({w, wb});
             row.push_back(
                 strf("%.0fK", ms[0].truthThroughput / 1e3));

@@ -79,6 +79,18 @@ jsonNumber(const std::string &line, const std::string &key,
     return std::strtod(line.c_str() + pos + tag.size(), nullptr);
 }
 
+/** Extract an unsigned integer "key" from a flat JSON line (0 when
+ *  absent); exact for 64-bit ids and nanosecond timestamps. */
+std::uint64_t
+jsonUnsigned(const std::string &line, const std::string &key)
+{
+    std::string tag = "\"" + key + "\":";
+    auto pos = line.find(tag);
+    if (pos == std::string::npos)
+        return 0;
+    return std::strtoull(line.c_str() + pos + tag.size(), nullptr, 10);
+}
+
 std::string
 htmlEscape(const std::string &s)
 {
@@ -134,7 +146,13 @@ parseMetricsText(const std::string &body)
 std::vector<TraceNameStats>
 parseTraceJsonl(const std::string &body)
 {
+    struct SpanTimes
+    {
+        std::string name;
+        std::uint64_t parent = 0, start = 0, end = 0;
+    };
     std::map<std::string, TraceNameStats> by_name;
+    std::map<std::uint64_t, SpanTimes> spans; ///< by span id
     std::istringstream in(body);
     std::string line;
     while (std::getline(in, line)) {
@@ -144,9 +162,42 @@ parseTraceJsonl(const std::string &body)
         auto &st = by_name[name];
         st.name = name;
         ++st.count;
-        st.totalDurNs += static_cast<std::uint64_t>(
-            jsonNumber(line, "dur_ns"));
+        auto dur = jsonUnsigned(line, "dur_ns");
+        st.totalDurNs += dur;
+        if (auto id = jsonUnsigned(line, "id"); id != 0) {
+            auto start = jsonUnsigned(line, "start_ns");
+            spans[id] = {name, jsonUnsigned(line, "parent"), start,
+                         start + dur};
+        }
     }
+
+    // Self time: a span's duration minus the union of its children's
+    // intervals (clipped to the span), the same fold as perfbench.
+    std::map<std::uint64_t,
+             std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+        children;
+    for (const auto &[id, sp] : spans) {
+        if (sp.parent != 0)
+            children[sp.parent].emplace_back(sp.start, sp.end);
+    }
+    for (const auto &[id, sp] : spans) {
+        std::uint64_t covered = 0;
+        if (auto it = children.find(id); it != children.end()) {
+            auto &iv = it->second;
+            std::sort(iv.begin(), iv.end());
+            std::uint64_t reach = sp.start;
+            for (auto [a, b] : iv) {
+                a = std::max(a, reach);
+                b = std::min(b, sp.end);
+                if (b > a) {
+                    covered += b - a;
+                    reach = b;
+                }
+            }
+        }
+        by_name[sp.name].selfDurNs += (sp.end - sp.start) - covered;
+    }
+
     std::vector<TraceNameStats> out;
     out.reserve(by_name.size());
     for (auto &kv : by_name)
@@ -548,12 +599,13 @@ renderReport(const ReportArtifacts &artifacts,
         if (!trace_stats.empty()) {
             out += strf("\n-- Trace spans (%zu names) --\n",
                         trace_stats.size());
-            out += strf("%-40s %10s %12s\n", "name", "count",
-                        "total ms");
+            out += strf("%-40s %10s %12s %12s\n", "name", "count",
+                        "total ms", "self ms");
             for (const auto &t : trace_stats) {
-                out += strf("%-40s %10zu %12.3f\n", t.name.c_str(),
-                            t.count,
-                            static_cast<double>(t.totalDurNs) / 1e6);
+                out += strf("%-40s %10zu %12.3f %12.3f\n",
+                            t.name.c_str(), t.count,
+                            static_cast<double>(t.totalDurNs) / 1e6,
+                            static_cast<double>(t.selfDurNs) / 1e6);
             }
         }
         if (!metric_samples.empty()) {
@@ -711,12 +763,13 @@ renderReport(const ReportArtifacts &artifacts,
     if (!trace_stats.empty()) {
         out += "<h2>Trace spans</h2>\n<table>"
                "<tr><th>name</th><th>count</th>"
-               "<th>total ms</th></tr>\n";
+               "<th>total ms</th><th>self ms</th></tr>\n";
         for (const auto &t : trace_stats) {
             out += strf("<tr><td>%s</td><td>%zu</td>"
-                        "<td>%.3f</td></tr>\n",
+                        "<td>%.3f</td><td>%.3f</td></tr>\n",
                         htmlEscape(t.name).c_str(), t.count,
-                        static_cast<double>(t.totalDurNs) / 1e6);
+                        static_cast<double>(t.totalDurNs) / 1e6,
+                        static_cast<double>(t.selfDurNs) / 1e6);
         }
         out += "</table>\n";
     }

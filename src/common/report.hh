@@ -53,6 +53,10 @@ struct TraceNameStats
     std::string name;
     std::size_t count = 0;        ///< spans + points with this name
     std::uint64_t totalDurNs = 0; ///< summed span durations
+    /** Summed self time: each span's duration minus the union of its
+     *  child spans' intervals (clipped to the span). Children that
+     *  overlap -- pool tasks running side by side -- count once. */
+    std::uint64_t selfDurNs = 0;
 };
 
 /** Parsed monitor (+ optional supervisor) stream. */

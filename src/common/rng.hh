@@ -48,8 +48,21 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 
-    /** Next raw 64-bit value. */
-    result_type operator()();
+    /** Next raw 64-bit value (inline: the packet synthesizer draws
+     *  one per payload byte). */
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -108,6 +121,12 @@ class Rng
     void setState(const RngState &st);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     bool hasSpare_ = false;
     double spare_ = 0.0;

@@ -32,9 +32,10 @@ class FlowTable
   public:
     /** @param name region name reported to the cost model */
     explicit FlowTable(std::string name, std::size_t initial_buckets = 64)
-        : regionName_(std::move(name))
+        : region_{std::move(name), 0.0, 1.0}
     {
         buckets_.resize(roundUpPow2(initial_buckets));
+        region_.bytes = bytes();
     }
 
     /**
@@ -87,12 +88,9 @@ class FlowTable
         return static_cast<double>(buckets_.size() * sizeof(Bucket));
     }
 
-    /** Memory region descriptor for cost accounting. */
-    MemRegion
-    region() const
-    {
-        return MemRegion{regionName_, bytes(), 1.0};
-    }
+    /** Memory region descriptor for cost accounting (kept current
+     *  on every resize, so per-access accounting copies nothing). */
+    const MemRegion &region() const { return region_; }
 
     /** Drop all entries and shrink back to the initial footprint. */
     void
@@ -100,6 +98,7 @@ class FlowTable
     {
         buckets_.assign(64, Bucket{});
         size_ = 0;
+        region_.bytes = bytes();
     }
 
     /** Iterate live entries (test/diagnostic use). */
@@ -160,9 +159,10 @@ class FlowTable
             buckets_[idx] = b;
             ++size_;
         }
+        region_.bytes = bytes();
     }
 
-    std::string regionName_;
+    MemRegion region_;
     std::vector<Bucket> buckets_;
     std::size_t size_ = 0;
 };

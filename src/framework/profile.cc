@@ -33,6 +33,78 @@ profileMetrics()
 
 } // namespace
 
+WorkloadProfile
+summarizeProfile(const NetworkFunction &nf,
+                 const traffic::TrafficProfile &traffic_profile,
+                 const CostContext &ctx, std::size_t packets,
+                 double frame_bytes, std::size_t drops,
+                 bool trace_points)
+{
+    const double n = static_cast<double>(packets);
+    WorkloadProfile w;
+    w.nfName = nf.name();
+    w.pattern = nf.pattern();
+    w.cores = nf.cores();
+    w.traffic = traffic_profile;
+    w.pacedRate = nf.pacedRate();
+    w.instrPerPacket = ctx.instructions() / n;
+    w.llcReadsPerPacket = ctx.memReads() / n;
+    w.llcWritesPerPacket = ctx.memWrites() / n;
+    w.frameBytes = frame_bytes / n;
+    w.dropFraction = static_cast<double>(drops) / n;
+
+    // Working set: sum of region footprints; reuse: access-weighted.
+    // Per-region attribution points ride on the sorted region map, so
+    // the emitted order is deterministic.
+    double wss = 0.0, reuse_weighted = 0.0, accesses = 0.0;
+    for (const auto &[name, use] : ctx.regions()) {
+        wss += use.bytes;
+        reuse_weighted += use.reuse * use.accesses;
+        accesses += use.accesses;
+        if (trace_points) {
+            tracePoint("profile.region",
+                       {{"region", name},
+                        {"bytes", traceFormat(use.bytes)},
+                        {"accesses", traceFormat(use.accesses)},
+                        {"reuse", traceFormat(use.reuse)}});
+        }
+    }
+    w.wssBytes = wss;
+    w.reuse = accesses > 0.0 ? reuse_weighted / accesses : 1.0;
+
+    // Accelerator demand.
+    double req_count[hw::numAccelKinds] = {};
+    double req_bytes[hw::numAccelKinds] = {};
+    double req_matches[hw::numAccelKinds] = {};
+    for (const auto &r : ctx.offloads()) {
+        int k = static_cast<int>(r.kind);
+        req_count[k] += 1.0;
+        req_bytes[k] += r.bytes;
+        req_matches[k] += r.matches;
+    }
+    for (int k = 0; k < hw::numAccelKinds; ++k) {
+        AccelUse &use = w.accel[k];
+        if (req_count[k] <= 0.0)
+            continue;
+        use.used = true;
+        use.requestsPerPacket = req_count[k] / n;
+        use.bytesPerRequest = req_bytes[k] / req_count[k];
+        use.matchesPerRequest = req_matches[k] / req_count[k];
+        use.queues = nf.queueCount(static_cast<hw::AccelKind>(k));
+        if (trace_points) {
+            tracePoint(
+                "profile.accel",
+                {{"kind",
+                  hw::accelName(static_cast<hw::AccelKind>(k))},
+                 {"req_per_pkt", traceFormat(use.requestsPerPacket)},
+                 {"bytes_per_req", traceFormat(use.bytesPerRequest)}},
+                k);
+        }
+    }
+
+    return w;
+}
+
 WorkloadProfiler::WorkloadProfiler(NetworkFunction &nf,
                                    const regex::RuleSet *ruleset,
                                    ProfileOptions opts)
@@ -106,67 +178,9 @@ WorkloadProfiler::profile(
             ++drops;
     }
 
-    const double n = static_cast<double>(opts_.samplePackets);
-    WorkloadProfile w;
-    w.nfName = nf_.name();
-    w.pattern = nf_.pattern();
-    w.cores = nf_.cores();
-    w.traffic = traffic_profile;
-    w.pacedRate = nf_.pacedRate();
-    w.instrPerPacket = ctx.instructions() / n;
-    w.llcReadsPerPacket = ctx.memReads() / n;
-    w.llcWritesPerPacket = ctx.memWrites() / n;
-    w.frameBytes = frame_bytes / n;
-    w.dropFraction = static_cast<double>(drops) / n;
-
-    // Working set: sum of region footprints; reuse: access-weighted.
-    // Per-region attribution points ride on the sorted region map, so
-    // the emitted order is deterministic.
-    double wss = 0.0, reuse_weighted = 0.0, accesses = 0.0;
-    for (const auto &[name, use] : ctx.regions()) {
-        wss += use.bytes;
-        reuse_weighted += use.reuse * use.accesses;
-        accesses += use.accesses;
-        if (span.active()) {
-            tracePoint("profile.region",
-                       {{"region", name},
-                        {"bytes", traceFormat(use.bytes)},
-                        {"accesses", traceFormat(use.accesses)},
-                        {"reuse", traceFormat(use.reuse)}});
-        }
-    }
-    w.wssBytes = wss;
-    w.reuse = accesses > 0.0 ? reuse_weighted / accesses : 1.0;
-
-    // Accelerator demand.
-    double req_count[hw::numAccelKinds] = {};
-    double req_bytes[hw::numAccelKinds] = {};
-    double req_matches[hw::numAccelKinds] = {};
-    for (const auto &r : ctx.offloads()) {
-        int k = static_cast<int>(r.kind);
-        req_count[k] += 1.0;
-        req_bytes[k] += r.bytes;
-        req_matches[k] += r.matches;
-    }
-    for (int k = 0; k < hw::numAccelKinds; ++k) {
-        AccelUse &use = w.accel[k];
-        if (req_count[k] <= 0.0)
-            continue;
-        use.used = true;
-        use.requestsPerPacket = req_count[k] / n;
-        use.bytesPerRequest = req_bytes[k] / req_count[k];
-        use.matchesPerRequest = req_matches[k] / req_count[k];
-        use.queues = nf_.queueCount(static_cast<hw::AccelKind>(k));
-        if (span.active()) {
-            tracePoint(
-                "profile.accel",
-                {{"kind",
-                  hw::accelName(static_cast<hw::AccelKind>(k))},
-                 {"req_per_pkt", traceFormat(use.requestsPerPacket)},
-                 {"bytes_per_req", traceFormat(use.bytesPerRequest)}},
-                k);
-        }
-    }
+    WorkloadProfile w =
+        summarizeProfile(nf_, traffic_profile, ctx, opts_.samplePackets,
+                         frame_bytes, drops, span.active());
 
     profileMetrics().workloads.inc();
     profileMetrics().packets.inc(opts_.samplePackets);

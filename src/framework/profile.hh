@@ -82,6 +82,26 @@ struct ProfileOptions
 };
 
 /**
+ * Distil the costs accumulated over a measurement phase into a
+ * WorkloadProfile: per-packet means of instructions, LLC reads and
+ * writes and frame bytes, the summed working set, access-weighted
+ * reuse and per-accelerator demand. The profiler and the closed-form
+ * mem-bench profiles (nfs::memBenchProfile) share it, so both round
+ * identically.
+ *
+ * @param packets measured packets (> 0)
+ * @param frame_bytes summed wire bytes of those packets
+ * @param drops packets the NF dropped
+ * @param trace_points emit profile.region / profile.accel points
+ */
+WorkloadProfile
+summarizeProfile(const NetworkFunction &nf,
+                 const traffic::TrafficProfile &traffic_profile,
+                 const CostContext &ctx, std::size_t packets,
+                 double frame_bytes, std::size_t drops,
+                 bool trace_points = false);
+
+/**
  * Incremental profiling session over one NF.
  *
  * Flow identities are a pure function of the flow index

@@ -71,6 +71,10 @@ class GradientBoostingRegressor
     bool fitted() const { return fitted_; }
     const GbrParams &params() const { return params_; }
 
+    /** Largest feature index any tree splits on (-1 when none). A
+     *  loader checks it against the model's feature width. */
+    int maxFeature() const;
+
     /** Serialize the fitted ensemble to a text stream. */
     void save(std::ostream &out) const;
 

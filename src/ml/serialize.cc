@@ -7,6 +7,7 @@
  * reloaded models predict bit-identically.
  */
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -48,23 +49,41 @@ RegressionTree::load(std::istream &in)
         return false;
     std::size_t count = 0;
     in >> count;
-    if (!in || count > 10'000'000)
+    if (!in || count == 0 || count > 10'000'000)
         return false;
     std::vector<Node> nodes(count);
-    for (auto &n : nodes) {
+    for (std::size_t i = 0; i < count; ++i) {
+        Node &n = nodes[i];
         in >> n.feature >> n.threshold >> n.value >> n.left >>
             n.right;
         if (!in)
             return false;
-        // Children must stay in range (or be absent on leaves).
-        auto bad = [&](int idx) {
-            return idx < -1 || idx >= static_cast<int>(count);
+        if (n.feature < 0) {
+            // A leaf: feature -1 and no children.
+            if (n.feature != -1 || n.left != -1 || n.right != -1)
+                return false;
+            continue;
+        }
+        // An internal node: both children exist and come later, so
+        // every walk from the root descends to a leaf.
+        auto bad = [&](int child) {
+            return child <= static_cast<int>(i) ||
+                   child >= static_cast<int>(count);
         };
         if (bad(n.left) || bad(n.right))
             return false;
     }
     nodes_ = std::move(nodes);
     return true;
+}
+
+int
+RegressionTree::maxFeature() const
+{
+    int m = -1;
+    for (const Node &n : nodes_)
+        m = std::max(m, n.feature);
+    return m;
 }
 
 void
@@ -107,6 +126,15 @@ GradientBoostingRegressor::load(std::istream &in)
     fitFeatureFp_ = 0;
     fitLabelFp_ = 0;
     return true;
+}
+
+int
+GradientBoostingRegressor::maxFeature() const
+{
+    int m = -1;
+    for (const auto &t : trees_)
+        m = std::max(m, t.maxFeature());
+    return m;
 }
 
 void

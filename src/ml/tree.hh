@@ -96,10 +96,19 @@ class RegressionTree
     /** Depth of the fitted tree. */
     int depth() const;
 
+    /** Largest feature index a split reads (-1 for a single leaf). */
+    int maxFeature() const;
+
     /** Serialize to a line-oriented text stream. */
     void save(std::ostream &out) const;
 
-    /** Load from save() output. @return false on malformed input. */
+    /**
+     * Load from save() output. @return false on malformed input,
+     * including any graph predict() could not walk to a leaf: no
+     * nodes, a leaf with children, or an internal node whose
+     * children do not both lie after it (save() emits parents before
+     * children, so this also rules out cycles).
+     */
     bool load(std::istream &in);
 
   private:

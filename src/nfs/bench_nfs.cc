@@ -2,8 +2,10 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
+#include "net/packet.hh"
 #include "nfs/common_elements.hh"
 
 namespace tomur::nfs {
@@ -38,26 +40,40 @@ class MemBenchElement : public Element
           region_{"membench_array", cfg.wssBytes, reuseFor(cfg.mode)},
           rng_(0xbe7c4)
     {
-        // Back the region with a real (bounded) array so accesses are
-        // genuine work, while the modeled WSS follows the config.
-        array_.resize(static_cast<std::size_t>(
-            std::min(cfg.wssBytes, 4.0 * 1024 * 1024)) / 8, 1);
     }
 
     Verdict
     process(net::Packet &, CostContext &ctx) override
     {
+        // Back the region with a real (bounded) array so accesses are
+        // genuine work, while the modeled WSS follows the config.
+        // Allocated on first use: building the NF only to read its
+        // identity (memBenchProfile) costs no backing store.
+        if (array_.empty()) {
+            array_.resize(static_cast<std::size_t>(std::min(
+                              cfg_.wssBytes, 4.0 * 1024 * 1024)) /
+                              8,
+                          1);
+        }
         std::uint64_t acc = 0;
         std::size_t n = array_.size();
         for (int i = 0; i < 16 && n > 0; ++i)
             acc += array_[rng_.uniformInt(n)];
         (void)acc;
+        charge(ctx);
+        return Verdict::Forward;
+    }
+
+    /** The cost one iteration records: the part of process() that
+     *  memBenchProfile replays without touching the array. */
+    void
+    charge(CostContext &ctx) const
+    {
         ctx.addInstructions(cfg_.instructionsPerAccess *
                             cfg_.accessesPerIteration);
         // Writes to force cache-line ownership: 1/4 of accesses.
         ctx.addMemAccess(region_, cfg_.accessesPerIteration * 0.75,
                          cfg_.accessesPerIteration * 0.25);
-        return Verdict::Forward;
     }
 
     std::vector<MemRegion>
@@ -194,6 +210,40 @@ makeMemBench(const MemBenchConfig &cfg)
         nf->setPacedRate(cfg.targetAccessRate /
                          cfg.accessesPerIteration);
     return nf;
+}
+
+fw::WorkloadProfile
+memBenchProfile(const MemBenchConfig &cfg,
+                const traffic::TrafficProfile &traffic,
+                const fw::ProfileOptions &opts)
+{
+    if (opts.samplePackets == 0)
+        fatal("memBenchProfile: zero sample packets");
+    if (traffic.flowCount == 0)
+        fatal("memBenchProfile: zero flows");
+    // Identity (name, pattern, cores, pacing) and the per-iteration
+    // cost both come from the NF itself; its backing array is never
+    // allocated because no packet is processed.
+    auto nf = makeMemBench(cfg);
+    const auto &bench =
+        static_cast<const MemBenchElement &>(*nf->elements().front());
+    // Every generated frame has the profile's size (UDP framing, as
+    // TrafficGen builds them); the payload bytes are never read.
+    const double frame = static_cast<double>(
+        net::PacketBuilder::frameSize(
+            net::PacketBuilder::payloadForFrame(traffic.packetSize,
+                                                net::IpProto::Udp),
+            net::IpProto::Udp));
+    // Replay the measurement phase's accumulation packet by packet so
+    // the sums round exactly as profileWorkload's do.
+    fw::CostContext ctx;
+    double frame_bytes = 0.0;
+    for (std::size_t i = 0; i < opts.samplePackets; ++i) {
+        frame_bytes += frame;
+        bench.charge(ctx);
+    }
+    return fw::summarizeProfile(*nf, traffic, ctx, opts.samplePackets,
+                                frame_bytes, 0);
 }
 
 std::unique_ptr<fw::NetworkFunction>

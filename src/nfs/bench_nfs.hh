@@ -14,6 +14,7 @@
 
 #include "framework/accel_dev.hh"
 #include "framework/nf.hh"
+#include "framework/profile.hh"
 
 namespace tomur::nfs {
 
@@ -46,6 +47,20 @@ struct MemBenchConfig
 /** Build a mem-bench instance. */
 std::unique_ptr<framework::NetworkFunction>
 makeMemBench(const MemBenchConfig &cfg);
+
+/**
+ * A mem-bench's workload profile in closed form: exactly (bitwise)
+ * what profileWorkload(*makeMemBench(cfg), traffic, ruleset, opts)
+ * returns, without building a packet or running the bench loop. The
+ * bench never reads packets, so its demand is a function of its
+ * configuration, the frame size and opts.samplePackets alone (no
+ * ruleset is needed at any MTBR). Pinned against the executed
+ * profile by BenchNfs.MemBenchClosedFormMatchesExecutedProfile.
+ */
+framework::WorkloadProfile
+memBenchProfile(const MemBenchConfig &cfg,
+                const traffic::TrafficProfile &traffic,
+                const framework::ProfileOptions &opts = {});
 
 /** regex-bench configuration (§6: processing rate, MTBR). */
 struct RegexBenchConfig

@@ -4,12 +4,13 @@ namespace tomur::nfs {
 
 namespace fw = framework;
 
-MemRegion
+const MemRegion &
 packetPoolRegion()
 {
     // DMA packet buffer pool; kept warm by DDIO-like behaviour, so it
     // competes for LLC like any other resident region.
-    return MemRegion{"pkt_pool", 256.0 * 1024, 1.0};
+    static const MemRegion pool{"pkt_pool", 256.0 * 1024, 1.0};
+    return pool;
 }
 
 ParseElement::ParseElement()

@@ -75,8 +75,9 @@ class PayloadTouchElement : public Element
     MemRegion payloadRegion_;
 };
 
-/** Shared packet-buffer-pool region descriptor. */
-MemRegion packetPoolRegion();
+/** Shared packet-buffer-pool region descriptor (one static
+ *  instance, so per-packet accounting copies nothing). */
+const MemRegion &packetPoolRegion();
 
 } // namespace tomur::nfs
 

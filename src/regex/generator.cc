@@ -1,27 +1,44 @@
 #include "regex/generator.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace tomur::regex {
 
 namespace {
 
+/** The k-th (0-based) set bit of a word; k < popcount(w). */
+int
+selectBit(std::uint64_t w, unsigned k)
+{
+    for (; k > 0; --k)
+        w &= w - 1;
+    return std::countr_zero(w);
+}
+
 /** Pick a byte from a set, preferring printable members. */
 std::uint8_t
 pickByte(const ByteSet &set, Rng &rng)
 {
-    ByteSet printable = set & printableSet();
+    static const ByteSet kPrintable = printableSet();
+    static const ByteSet kLowWord(~std::uint64_t(0));
+    ByteSet printable = set & kPrintable;
     const ByteSet &pool = printable.any() ? printable : set;
     std::size_t n = pool.count();
     if (n == 0)
         panic("generateMatch: empty byte class");
+    // The k-th member in ascending byte order: skip whole 64-bit
+    // words by popcount, then select within the word.
     std::size_t k = rng.uniformInt(static_cast<std::uint64_t>(n));
-    for (int b = 0; b < 256; ++b) {
-        if (pool.test(b)) {
-            if (k == 0)
-                return static_cast<std::uint8_t>(b);
-            --k;
+    for (int base = 0; base < 256; base += 64) {
+        std::uint64_t word = ((pool >> base) & kLowWord).to_ullong();
+        std::size_t c = static_cast<std::size_t>(std::popcount(word));
+        if (k < c) {
+            return static_cast<std::uint8_t>(
+                base + selectBit(word, static_cast<unsigned>(k)));
         }
+        k -= c;
     }
     panic("generateMatch: pickByte fell through");
 }

@@ -116,16 +116,10 @@ BenchLibrary::BenchLibrary(sim::Testbed &testbed,
         memBenches_.push_back(std::move(e));
     }
 
-    // Phase 2: profile every bench workload across the pool. Each
-    // task owns its NF instance and profileWorkload is deterministic
-    // in (config, traffic), so results are independent of scheduling.
-    auto workloads =
-        parallelMap(memBenches_.size(), [&](std::size_t i) {
-            auto nf = nfs::makeMemBench(memBenches_[i].config);
-            return fw::profileWorkload(*nf, benchTraffic(), nullptr);
-        });
-    for (std::size_t i = 0; i < memBenches_.size(); ++i)
-        memBenches_[i].workload = std::move(workloads[i]);
+    // Phase 2: each bench's workload profile, in closed form (its
+    // demand is a function of its configuration; see memBenchProfile).
+    for (auto &e : memBenches_)
+        e.workload = nfs::memBenchProfile(e.config, benchTraffic());
 
     // Phase 3: measure all solo contention levels as one batch —
     // solves fan out in parallel, measurement noise is drawn in

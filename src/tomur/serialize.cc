@@ -18,6 +18,7 @@
  */
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -54,6 +55,18 @@ sectionError(const char *section, const std::string &detail)
 {
     return Status::corruptData(strf("%s section: %s", section,
                                     detail.c_str()));
+}
+
+/** Why a loaded ensemble cannot be fed `width` features, if so. */
+std::optional<std::string>
+featureOutOfRange(const ml::GradientBoostingRegressor &m,
+                  std::size_t width)
+{
+    int f = m.maxFeature();
+    if (f < 0 || static_cast<std::size_t>(f) < width)
+        return std::nullopt;
+    return strf("split on feature %d of a %zu-feature model", f,
+                width);
 }
 
 } // namespace
@@ -96,6 +109,10 @@ MemoryModel::load(std::istream &in)
             strf("ensemble size %zu outside [1, %zu]", count,
                  kMaxEnsembleModels));
     }
+    // Splits may only read features the model is fed.
+    const std::size_t width = traffic_aware != 0
+        ? memoryFeatureNames().size()
+        : hw::PerfCounters::featureNames().size();
     std::vector<ml::GradientBoostingRegressor> models(count);
     for (std::size_t i = 0; i < count; ++i) {
         if (!models[i].load(in)) {
@@ -103,6 +120,11 @@ MemoryModel::load(std::istream &in)
                 "memory model",
                 strf("sub-model %zu of %zu failed to parse", i + 1,
                      count));
+        }
+        if (auto bad = featureOutOfRange(models[i], width)) {
+            return sectionError("memory model",
+                                strf("sub-model %zu of %zu: %s", i + 1,
+                                     count, bad->c_str()));
         }
     }
     models_ = std::move(models);
@@ -321,6 +343,14 @@ TomurModel::load(std::istream &in)
                 strf("solo models section: sub-model %zu of %zu "
                      "failed to parse",
                      i + 1, n_solo));
+        }
+        // The solo model reads the traffic vector only.
+        if (auto bad = featureOutOfRange(
+                solos[i], static_cast<std::size_t>(
+                              traffic::numAttributes))) {
+            return sectionError("solo models",
+                                strf("sub-model %zu of %zu: %s", i + 1,
+                                     n_solo, bad->c_str()));
         }
     }
 

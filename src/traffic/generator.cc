@@ -51,8 +51,11 @@ TrafficGen::makePayload()
     std::vector<std::uint8_t> payload(payloadLen_);
     // Background filler: high bytes that protocol signatures never
     // match (validated by RegexRuleset.RandomBinaryRarelyMatches).
+    // One draw per byte, the same stream as uniformInt(0x80, 0xff):
+    // for a range of 128 Lemire's rejection threshold is 0 and
+    // (r * 128) >> 64 == r >> 57.
     for (auto &b : payload)
-        b = static_cast<std::uint8_t>(rng_.uniformInt(0x80, 0xff));
+        b = static_cast<std::uint8_t>(0x80 + (rng_() >> 57));
 
     if (profile_.mtbr <= 0.0 || patterns_.empty() || payload.empty())
         return payload;

@@ -426,6 +426,60 @@ TEST(CorruptModelCorpus, ChecksummedButPoisonedBodies)
     }
 }
 
+/** Replace the first serialized tree after `section` in a body. */
+std::string
+withFirstTree(const std::string &body, const std::string &section,
+              const std::string &tree)
+{
+    auto at = body.find("tree ", body.find(section));
+    EXPECT_NE(at, std::string::npos) << section;
+    std::size_t nodes = std::stoul(body.substr(at + 5));
+    auto end = at;
+    for (std::size_t line = 0; line <= nodes; ++line)
+        end = body.find('\n', end) + 1;
+    return body.substr(0, at) + tree + body.substr(end);
+}
+
+TEST(CorruptModelCorpus, MalformedTreeGraphsRejected)
+{
+    // Correct checksums over trees predict() could not walk (or that
+    // read past the feature vector): rejected at load, before a
+    // daemon swaps them in and the first prediction hangs or crashes.
+    std::string base = craftValidBody();
+    const std::pair<const char *, const char *> trees[] = {
+        {"empty tree", "tree 0\n"},
+        {"self-loop", "tree 3\n0 1 0 0 2\n-1 0 1 -1 -1\n"
+                      "-1 0 2 -1 -1\n"},
+        {"missing child", "tree 2\n0 1 0 -1 1\n-1 0 1 -1 -1\n"},
+        {"feature 99", "tree 3\n99 1 0 1 2\n-1 0 1 -1 -1\n"
+                       "-1 0 2 -1 -1\n"},
+    };
+    for (const char *section : {"memory_model", "solo_models"}) {
+        for (const auto &[label, tree] : trees) {
+            std::string what = std::string(section) + ": " + label;
+            std::string file = wrapV2(withFirstTree(base, section, tree));
+            expectCleanRejection(file, what);
+            core::TomurModel m;
+            std::istringstream in(file);
+            EXPECT_EQ(m.load(in).code(), StatusCode::CorruptData)
+                << what;
+        }
+    }
+    // The solo model reads three traffic attributes: feature 3 is
+    // one past its vector even though the memory model has more.
+    expectCleanRejection(
+        wrapV2(withFirstTree(base, "solo_models",
+                             "tree 3\n3 1 0 1 2\n-1 0 1 -1 -1\n"
+                             "-1 0 2 -1 -1\n")),
+        "solo feature 3");
+    // A splice that stays in range still loads (the helper is sound).
+    core::TomurModel m;
+    std::istringstream in(wrapV2(withFirstTree(
+        base, "solo_models",
+        "tree 3\n2 1 0 1 2\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n")));
+    EXPECT_TRUE(m.load(in));
+}
+
 TEST(CorruptModelCorpus, HealthFlagsRoundTrip)
 {
     core::TomurModel m;

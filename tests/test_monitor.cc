@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/report.hh"
@@ -750,6 +751,59 @@ TEST(Report, AggregatesTraceByName)
     EXPECT_EQ(stats[0].count, 2u);
     EXPECT_EQ(stats[0].totalDurNs, 3000000u);
     EXPECT_EQ(stats[1].name, "b");
+}
+
+TEST(Report, SelfTimeSubtractsUnionOfOverlappingChildren)
+{
+    // A root span [0, 10) ms fans out to three pool-thread children:
+    // two overlap ([1, 4) and [2, 6) cover [1, 6)), one pokes past
+    // the root's end ([8, 12) is clipped to [8, 10)). Root self time
+    // is 10 - (5 + 2) = 3 ms; a grandchild [2, 3) leaves its parent
+    // 3 ms of self time. Events have no duration.
+    auto span = [](int id, int parent, const char *name, int start_ms,
+                   int end_ms) {
+        return strf("{\"type\":\"span\",\"id\":%d,\"parent\":%d,"
+                    "\"name\":\"%s\",\"start_ns\":%d000000,"
+                    "\"dur_ns\":%d000000}\n",
+                    id, parent, name, start_ms, end_ms - start_ms);
+    };
+    std::string body = span(1, 0, "root", 0, 10) +
+                       span(2, 1, "task", 1, 4) +
+                       span(3, 1, "task", 2, 6) +
+                       span(4, 1, "task", 8, 12) +
+                       span(5, 3, "leaf", 2, 3) +
+                       "{\"type\":\"event\",\"parent\":1,"
+                       "\"name\":\"tick\"}\n";
+    auto stats = parseTraceJsonl(body);
+    ASSERT_EQ(stats.size(), 4u);
+    std::map<std::string, TraceNameStats> by;
+    for (const auto &t : stats)
+        by[t.name] = t;
+    EXPECT_EQ(by["root"].totalDurNs, 10'000'000u);
+    EXPECT_EQ(by["root"].selfDurNs, 3'000'000u);
+    EXPECT_EQ(by["task"].count, 3u);
+    EXPECT_EQ(by["task"].totalDurNs, 11'000'000u);
+    EXPECT_EQ(by["task"].selfDurNs, 10'000'000u);
+    EXPECT_EQ(by["leaf"].selfDurNs, 1'000'000u);
+    EXPECT_EQ(by["tick"].count, 1u);
+    EXPECT_EQ(by["tick"].selfDurNs, 0u);
+
+    // Both renderings carry the self-ms column.
+    ReportArtifacts artifacts;
+    artifacts.traceJsonl = body;
+    auto text = renderReport(artifacts);
+    ASSERT_TRUE(text);
+    EXPECT_NE(text.value().find("self ms"), std::string::npos);
+    EXPECT_NE(text.value().find("10.000        3.000"),
+              std::string::npos)
+        << text.value();
+    ReportOptions opts;
+    opts.html = true;
+    auto html = renderReport(artifacts, opts);
+    ASSERT_TRUE(html);
+    EXPECT_NE(html.value().find("<th>self ms</th>"), std::string::npos);
+    EXPECT_NE(html.value().find("<td>10.000</td><td>3.000</td>"),
+              std::string::npos);
 }
 
 TEST(Report, DigestsMonitorStream)

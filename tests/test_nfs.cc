@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/strutil.hh"
 #include "framework/profile.hh"
 #include "nfs/bench_nfs.hh"
 #include "nfs/common_elements.hh"
@@ -261,6 +264,135 @@ TEST(BenchNfs, StreamModeHasLowReuse)
     auto wr = fw::profileWorkload(*makeMemBench(random), p, nullptr);
     EXPECT_LT(ws.reuse, 0.3);
     EXPECT_GT(wr.reuse, 0.8);
+}
+
+/** Every WorkloadProfile field equal bit for bit (0.0 vs -0.0 and
+ *  NaN payloads included). */
+void
+expectSameBits(const fw::WorkloadProfile &a, const fw::WorkloadProfile &b,
+               const std::string &context)
+{
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(a.nfName, b.nfName) << context;
+    EXPECT_EQ(a.pattern, b.pattern) << context;
+    EXPECT_EQ(a.cores, b.cores) << context;
+    EXPECT_EQ(bits(a.instrPerPacket), bits(b.instrPerPacket)) << context;
+    EXPECT_EQ(bits(a.llcReadsPerPacket), bits(b.llcReadsPerPacket))
+        << context;
+    EXPECT_EQ(bits(a.llcWritesPerPacket), bits(b.llcWritesPerPacket))
+        << context;
+    EXPECT_EQ(bits(a.wssBytes), bits(b.wssBytes)) << context;
+    EXPECT_EQ(bits(a.reuse), bits(b.reuse)) << context;
+    EXPECT_EQ(bits(a.frameBytes), bits(b.frameBytes)) << context;
+    EXPECT_EQ(bits(a.dropFraction), bits(b.dropFraction)) << context;
+    EXPECT_EQ(bits(a.pacedRate), bits(b.pacedRate)) << context;
+    for (int k = 0; k < hw::numAccelKinds; ++k) {
+        const auto &x = a.accel[k];
+        const auto &y = b.accel[k];
+        EXPECT_EQ(x.used, y.used) << context << " accel " << k;
+        EXPECT_EQ(bits(x.requestsPerPacket), bits(y.requestsPerPacket))
+            << context << " accel " << k;
+        EXPECT_EQ(bits(x.bytesPerRequest), bits(y.bytesPerRequest))
+            << context << " accel " << k;
+        EXPECT_EQ(bits(x.matchesPerRequest), bits(y.matchesPerRequest))
+            << context << " accel " << k;
+        EXPECT_EQ(x.queues, y.queues) << context << " accel " << k;
+    }
+    EXPECT_EQ(a.traffic.flowCount, b.traffic.flowCount) << context;
+    EXPECT_EQ(a.traffic.packetSize, b.traffic.packetSize) << context;
+    EXPECT_EQ(bits(a.traffic.mtbr), bits(b.traffic.mtbr)) << context;
+}
+
+/** Closed form vs an executed profile of a freshly built bench. */
+void
+expectClosedFormMatches(const MemBenchConfig &cfg,
+                        const traffic::TrafficProfile &tp,
+                        const fw::ProfileOptions &opts,
+                        const regex::RuleSet *rules = nullptr)
+{
+    std::string context = strf(
+        "wss %.0f car %.0f ipa %g api %g mode %d | %s | n %zu",
+        cfg.wssBytes, cfg.targetAccessRate, cfg.instructionsPerAccess,
+        cfg.accessesPerIteration, static_cast<int>(cfg.mode),
+        tp.toString().c_str(), opts.samplePackets);
+    expectSameBits(memBenchProfile(cfg, tp, opts),
+                   fw::profileWorkload(*makeMemBench(cfg), tp, rules,
+                                       opts),
+                   context);
+}
+
+TEST(BenchNfs, MemBenchClosedFormMatchesExecutedProfile)
+{
+    // Property: the closed form reproduces the executed profile
+    // bitwise. First over BenchLibrary's whole 214-entry grid at its
+    // bench traffic (16 flows, 1500 B, no matches) ...
+    const double MB = 1024.0 * 1024.0;
+    const traffic::TrafficProfile bench_tp{16, 1500, 0.0};
+    std::size_t grid = 0;
+    for (double wss : {1, 2, 4, 6, 8, 12, 16, 24, 32, 48}) {
+        for (double car : {5e6, 10e6, 20e6, 40e6, 60e6, 80e6, 100e6}) {
+            for (double ipa : {2.0, 16.0, 48.0}) {
+                MemBenchConfig cfg;
+                cfg.wssBytes = wss * MB;
+                cfg.targetAccessRate = car;
+                cfg.instructionsPerAccess = ipa;
+                cfg.mode = MemAccessMode::Random;
+                expectClosedFormMatches(cfg, bench_tp, {});
+                ++grid;
+            }
+        }
+    }
+    for (double wss : {4.0, 8.0, 16.0, 32.0}) {
+        MemBenchConfig cfg;
+        cfg.wssBytes = wss * MB;
+        cfg.targetAccessRate = 40e6;
+        cfg.mode = MemAccessMode::Stream;
+        expectClosedFormMatches(cfg, bench_tp, {});
+        ++grid;
+    }
+    EXPECT_EQ(grid, 214u);
+
+    // ... then off the grid: every access mode, odd accesses per
+    // iteration (sums that do not round exactly), an unpaced bench,
+    // sample counts from 1 to 1000, small and large frames, and MTBR
+    // traffic (the payload never reaches the bench).
+    auto rules = regex::defaultRuleSet();
+    for (auto mode : {MemAccessMode::Step, MemAccessMode::Stream,
+                      MemAccessMode::Random}) {
+        for (double api : {0.0, 1.0, 64.0, 100.0}) {
+            for (double car : {0.0, 30e6}) {
+                for (std::size_t n : {1u, 384u, 1000u}) {
+                    for (std::uint64_t size : {64u, 1500u}) {
+                        MemBenchConfig cfg;
+                        cfg.wssBytes = 3.3 * MB;
+                        cfg.targetAccessRate = car;
+                        cfg.accessesPerIteration = api;
+                        cfg.instructionsPerAccess = 7.0;
+                        cfg.mode = mode;
+                        fw::ProfileOptions opts;
+                        opts.samplePackets = n;
+                        expectClosedFormMatches(
+                            cfg, traffic::TrafficProfile{16, size, 0.0},
+                            opts);
+                    }
+                }
+            }
+        }
+    }
+    MemBenchConfig cfg;
+    fw::ProfileOptions opts;
+    opts.samplePackets = 100;
+    expectClosedFormMatches(cfg, traffic::TrafficProfile{500, 800, 600.0},
+                            opts, &rules);
+
+    // Costs that are not dyadic rationals: summing them packet by
+    // packet rounds differently from one multiplication, so this
+    // pins the order of the accumulation itself.
+    cfg.instructionsPerAccess = 0.1;
+    cfg.accessesPerIteration = 3.3;
+    opts.samplePackets = 1000;
+    expectClosedFormMatches(cfg, traffic::TrafficProfile{16, 1500, 0.0},
+                            opts);
 }
 
 TEST(BenchNfs, RegexBenchConfiguration)

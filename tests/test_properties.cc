@@ -204,6 +204,13 @@ struct PacketCase
     net::IpProto proto;
 };
 
+// gtest otherwise prints the raw object bytes, uninitialised
+// padding included, and ctest names each case after that print.
+void PrintTo(const PacketCase &c, std::ostream *os)
+{
+    *os << (c.proto == net::IpProto::Tcp ? "tcp_" : "udp_") << c.payload;
+}
+
 class PacketRoundTrip : public ::testing::TestWithParam<PacketCase>
 {
 };

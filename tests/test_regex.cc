@@ -255,6 +255,31 @@ TEST(RegexGenerator, DefaultRulesGenerate)
     }
 }
 
+TEST(RegexGenerator, DefaultRuleOutputPinned)
+{
+    // Generated signatures are embedded in every MTBR payload: a
+    // change to the generator must reproduce them byte for byte. The
+    // digest is FNV-1a over 64 strings per default rule, each
+    // followed by its length byte.
+    RuleSet rs = defaultRuleSet();
+    MultiMatcher m(rs);
+    Rng rng(4242);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto fold = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    };
+    for (const auto &pat : m.patterns()) {
+        for (int i = 0; i < 64; ++i) {
+            auto s = generateMatch(pat, rng);
+            for (std::uint8_t b : s)
+                fold(b);
+            fold(static_cast<std::uint8_t>(s.size()));
+        }
+    }
+    EXPECT_EQ(h, 0x59deb522bdd360c6ull) << std::hex << h;
+}
+
 TEST(RegexParser, NonCapturingGroup)
 {
     EXPECT_EQ(countIn("(?:ab)+c", "ababc abc xc"), 2u);

@@ -79,6 +79,35 @@ TEST(Serialize, MalformedInputsRejected)
     EXPECT_FALSE(lr.load(bad3)); // missing coefficients
 }
 
+TEST(Serialize, MalformedTreeGraphsRejected)
+{
+    // Each body is in range child-wise but could not be walked from
+    // the root to a leaf: predict() would spin, index nodes_[-1] or
+    // find no node at all.
+    const char *bodies[] = {
+        "tree 0\n",                                         // empty
+        "tree 1\n0 0.5 1 0 0\n",                           // self-loop
+        "tree 3\n0 0.5 0 1 2\n0 0.5 0 0 2\n-1 0 1 -1 -1\n", // back edge
+        "tree 2\n0 0.5 0 -1 1\n-1 0 1 -1 -1\n",           // missing child
+        "tree 1\n-1 0 1 0 -1\n",                           // leaf child
+        "tree 1\n-2 0 1 -1 -1\n",                          // bad leaf tag
+    };
+    for (const char *tree : bodies) {
+        ml::GradientBoostingRegressor gbr;
+        std::stringstream ss(std::string("gbr 1 0.5 0.1\n") + tree);
+        EXPECT_FALSE(gbr.load(ss)) << tree;
+    }
+    // A well-formed three-node tree still loads and predicts.
+    ml::GradientBoostingRegressor gbr;
+    std::stringstream ok(
+        "gbr 1 0.5 0.1\ntree 3\n1 2.5 0 1 2\n-1 0 10 -1 -1\n"
+        "-1 0 20 -1 -1\n");
+    ASSERT_TRUE(gbr.load(ok));
+    EXPECT_EQ(gbr.maxFeature(), 1);
+    EXPECT_DOUBLE_EQ(gbr.predict({0.0, 1.0}), 0.5 + 0.1 * 10);
+    EXPECT_DOUBLE_EQ(gbr.predict({0.0, 3.0}), 0.5 + 0.1 * 20);
+}
+
 TEST(Serialize, SaveBeforeFitPanics)
 {
     ml::GradientBoostingRegressor gbr;

@@ -1218,6 +1218,26 @@ TEST(ModelServiceEndpoints, ReloadHotSwapsAndReportsFailure)
     EXPECT_EQ(h.registry.version(), 2u); // still serving v2
 }
 
+/** A model file whose first solo-model tree is replaced by `tree`,
+ *  re-wrapped with a correct length and checksum: only the body's
+ *  structure is wrong. */
+std::string
+withPoisonedSoloTree(const std::string &file, const std::string &tree)
+{
+    std::string body = file.substr(file.find('\n') + 1);
+    auto at = body.find("tree ", body.find("solo_models"));
+    std::size_t nodes = std::stoul(body.substr(at + 5));
+    auto end = at;
+    for (std::size_t line = 0; line <= nodes; ++line)
+        end = body.find('\n', end) + 1;
+    body = body.substr(0, at) + tree + body.substr(end);
+    std::ostringstream out;
+    out << "tomur_model 2 " << body.size() << " " << std::hex
+        << core::modelBodyChecksum(body) << "\n"
+        << body;
+    return out.str();
+}
+
 TEST(ModelServiceEndpoints, ReloadOfCorruptCorpusKeepsServing)
 {
     ASSERT_TRUE(world().saveStatus.isOk())
@@ -1235,6 +1255,15 @@ TEST(ModelServiceEndpoints, ReloadOfCorruptCorpusKeepsServing)
         {"truncated", good.substr(0, good.size() / 2)},
         {"bitflip", flipped},
         {"empty", ""},
+        // Checksummed bodies whose trees would hang (self-loop),
+        // abort (no nodes) or read past the features on first use.
+        {"selfloop",
+         withPoisonedSoloTree(good, "tree 3\n0 1 0 0 2\n"
+                                    "-1 0 1 -1 -1\n-1 0 2 -1 -1\n")},
+        {"emptytree", withPoisonedSoloTree(good, "tree 0\n")},
+        {"feature99",
+         withPoisonedSoloTree(good, "tree 3\n99 1 0 1 2\n"
+                                    "-1 0 1 -1 -1\n-1 0 2 -1 -1\n")},
     };
 
     ServiceHarness h;

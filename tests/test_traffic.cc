@@ -164,6 +164,30 @@ TEST(Generator, FlowTuplesStable)
         EXPECT_EQ(a.flowTuple(i), b.flowTuple(i));
 }
 
+TEST(Generator, PacketBytesPinned)
+{
+    // Generated packets (addressing, filler and embedded signatures)
+    // feed every profile, model and golden fixture: a change to the
+    // synthesizer must reproduce them byte for byte. The digest is
+    // FNV-1a over the concatenation of 32k frames.
+    auto rules = regex::defaultRuleSet();
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (double mtbr : {0.0, 100.0, 600.0, 1100.0}) {
+        for (std::uint64_t size : {64u, 256u, 800u, 1500u}) {
+            TrafficGen gen(TrafficProfile{1000, size, mtbr}, &rules,
+                           size + static_cast<std::uint64_t>(mtbr));
+            for (int i = 0; i < 2000; ++i) {
+                net::Packet pkt = gen.next();
+                for (std::uint8_t b : pkt.bytes()) {
+                    h ^= b;
+                    h *= 0x100000001b3ull;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(h, 0xf68cfb67765f12c6ull) << std::hex << h;
+}
+
 // ---------------------------------------------------------------
 // Nonstationary scenario synthesis
 // ---------------------------------------------------------------
